@@ -994,7 +994,7 @@ func BenchmarkAblationOrderedMap(b *testing.B) {
 	})
 }
 
-// --- Façade load path, event pooling and streaming loads ------------------
+// --- Façade load path and streaming loads ---------------------------------
 
 // facadeBenchEngine builds an Engine on the requested backend — the same
 // two shapes cmd/loadgen drives, reduced to a benchmark fixture. The
@@ -1031,47 +1031,41 @@ func facadeBenchEngine(b *testing.B, backend string, cfg Config) (Engine, func()
 }
 
 // BenchmarkFacadeInsertBatch drives 64-row batches through the public
-// Engine API on each backend, with event pooling off and on — the
-// before/after of the zero-allocation hot path. allocs/op divided by 64
-// is allocs/event; TestSteadyStateInsertAllocFree gates the pooled
-// embedded figure at exactly zero.
+// Engine API on each backend. allocs/op divided by 64 is allocs/event;
+// TestSteadyStateInsertBatchAllocs gates the embedded figure.
 func BenchmarkFacadeInsertBatch(b *testing.B) {
 	for _, backend := range []string{"embedded", "remote"} {
-		for _, pool := range []bool{false, true} {
-			b.Run(fmt.Sprintf("backend=%s/pool=%v", backend, pool), func(b *testing.B) {
-				eng, stop := facadeBenchEngine(b, backend,
-					Config{TimerPeriod: -1, PoolEvents: pool, EphemeralCapacity: 256})
-				defer stop()
-				if _, err := eng.Exec(`create table T (src integer, v integer)`); err != nil {
+		b.Run("backend="+backend, func(b *testing.B) {
+			eng, stop := facadeBenchEngine(b, backend, Config{TimerPeriod: -1, EphemeralCapacity: 256})
+			defer stop()
+			if _, err := eng.Exec(`create table T (src integer, v integer)`); err != nil {
+				b.Fatal(err)
+			}
+			const batch = 64
+			rows := make([][]Value, batch)
+			vals := make([]Value, 2*batch)
+			for i := range rows {
+				rows[i] = vals[2*i : 2*i+2]
+				rows[i][0] = types.Int(int64(i))
+				rows[i][1] = types.Int(int64(i))
+			}
+			// Warm past the ring before the measured window.
+			for i := 0; i < 8; i++ {
+				if err := eng.InsertBatch("T", rows); err != nil {
 					b.Fatal(err)
 				}
-				const batch = 64
-				rows := make([][]Value, batch)
-				vals := make([]Value, 2*batch)
-				for i := range rows {
-					rows[i] = vals[2*i : 2*i+2]
-					rows[i][0] = types.Int(int64(i))
-					rows[i][1] = types.Int(int64(i))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := eng.InsertBatch("T", rows); err != nil {
+					b.Fatal(err)
 				}
-				// Warm past the ring so pooled blocks recycle before the
-				// measured window.
-				for i := 0; i < 8; i++ {
-					if err := eng.InsertBatch("T", rows); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := eng.InsertBatch("T", rows); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				events := float64(b.N) * batch
-				b.ReportMetric(events/b.Elapsed().Seconds(), "events/sec")
-			})
-		}
+			}
+			b.StopTimer()
+			events := float64(b.N) * batch
+			b.ReportMetric(events/b.Elapsed().Seconds(), "events/sec")
+		})
 	}
 }
 

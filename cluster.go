@@ -746,10 +746,10 @@ func (c *clusterEngine) acquireBridge(topic string, home int) (*bridge, error) {
 		if ev.Tuple == nil {
 			return
 		}
-		// Copy: pooled events reclaim their value block after delivery.
-		vals := make([]Value, len(ev.Tuple.Vals))
-		copy(vals, ev.Tuple.Vals)
-		if b.q.Push(vals) {
+		// No copy: the client decodes each pushed event into a fresh value
+		// slice and nothing mutates it afterwards, so the bridge may own it
+		// (TestClusterCrossNodeAutomaton forwards through this path).
+		if b.q.Push(ev.Tuple.Vals) {
 			b.enqueued.Add(1)
 		}
 	})

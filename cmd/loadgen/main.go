@@ -10,7 +10,6 @@
 //	loadgen                 # full grid, both backends
 //	loadgen -quick          # CI smoke: tiny event counts
 //	loadgen -backend remote # one backend only
-//	loadgen -pool=false     # disable event pooling, for before/after rows
 //	loadgen -cluster 3      # grid against a 3-node loopback cluster
 //
 // -cluster n replaces the backend grid with a partitioned cluster of n
@@ -46,8 +45,6 @@ func main() {
 	quick := flag.Bool("quick", false, "run the smoke-sized grid (CI)")
 	events := flag.Int("events", 0, "override total events per workload")
 	backend := flag.String("backend", "both", "embedded, remote or both")
-	pool := flag.Bool("pool", true, "enable event pooling in the cache under test")
-	vmOnly := flag.Bool("vm", false, "force the bytecode interpreter for automata (disable closure compilation)")
 	cluster := flag.Int("cluster", 0, "measure an n-node loopback cluster instead of the embedded/remote grid")
 	tenants := flag.Int("tenants", 0, "run the grid as n concurrent tenants of one multi-tenant cached (fairness check)")
 	flag.Parse()
@@ -68,10 +65,7 @@ func main() {
 		}
 	}
 
-	cfg := cache.Config{TimerPeriod: -1, PoolEvents: *pool}
-	if *vmOnly {
-		cfg.CompileMode = unicache.ModeVM
-	}
+	cfg := cache.Config{TimerPeriod: -1}
 
 	var results []loadgen.Result
 	if *tenants > 0 {

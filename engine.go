@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"unicache/internal/cache"
-	"unicache/internal/gapl"
 	"unicache/internal/pubsub"
 	"unicache/internal/sql"
 	"unicache/internal/tenant"
@@ -36,19 +35,6 @@ type (
 	Policy = pubsub.Policy
 	// Config tunes an Embedded engine's underlying cache.
 	Config = cache.Config
-	// CompileMode selects how GAPL automata execute their clauses (the
-	// Config.CompileMode field): ModeAuto compiles each clause to chained
-	// Go closures on first execution, falling back to the bytecode
-	// interpreter for anything not compilable; ModeVM forces the
-	// interpreter. Outputs are bit-identical either way — the conformance
-	// suite pins it.
-	CompileMode = gapl.CompileMode
-)
-
-// The GAPL dispatch modes, re-exported.
-const (
-	ModeAuto = gapl.ModeAuto
-	ModeVM   = gapl.ModeVM
 )
 
 // The overflow policies, re-exported.

@@ -77,10 +77,6 @@ type Config struct {
 	// an overflowing automaton is unregistered and the failure reported
 	// through OnRuntimeError.
 	InboxPolicy pubsub.Policy
-	// CompileMode selects the VM execution strategy for every automaton of
-	// this registry: gapl.ModeAuto (default) threads clauses through
-	// compiled closures, gapl.ModeVM forces the switch interpreter.
-	CompileMode gapl.CompileMode
 	// OnRegister, when set, observes every successful registration (the
 	// durable cache logs it to the write-ahead log). It runs after the
 	// automaton is installed but before its subscriptions attach, so a
@@ -401,7 +397,6 @@ func (r *Registry) register(forcedID int64, source string, sink Sink, opts Optio
 			return nil, fmt.Errorf("automaton: %w", err)
 		}
 		machine.MaxSteps = r.cfg.MaxSteps
-		machine.Mode = r.cfg.CompileMode
 		a.vm = machine
 
 		// Initialization runs before any event can arrive (we subscribe

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"unicache/internal/automaton"
-	"unicache/internal/gapl"
 	"unicache/internal/pubsub"
 	"unicache/internal/sql"
 	"unicache/internal/table"
@@ -60,21 +59,6 @@ type Config struct {
 	// AutomatonPolicy is the overflow policy for bounded automaton inboxes
 	// (default pubsub.Block — backpressure to the publishing topic).
 	AutomatonPolicy pubsub.Policy
-	// PoolEvents enables the zero-allocation steady-state event path:
-	// commits into ephemeral tables acquire events (tuple + value storage)
-	// from a reference-counted pool instead of the heap, released as the
-	// ring evicts them and each subscriber finishes with them. The
-	// trade-off is an ownership rule on consumers: a Watch callback or
-	// automaton may use a delivered *Event only until it returns, and must
-	// Clone (or Retain) it to keep it — see docs/ARCHITECTURE.md, "Event
-	// ownership and pooling". Off by default; commits into persistent
-	// tables always take the heap path (their rows live indefinitely).
-	PoolEvents bool
-	// CompileMode selects how automata execute: gapl.ModeAuto (default)
-	// threads each clause through compiled Go closures, gapl.ModeVM forces
-	// the bytecode switch interpreter. Outputs are identical; only
-	// dispatch cost differs.
-	CompileMode gapl.CompileMode
 	// DataDir, when non-empty, makes the cache durable: every commit is
 	// appended to a per-domain write-ahead log under this directory
 	// before it is applied, and reopening a cache over the same
@@ -136,12 +120,6 @@ type commitDomain struct {
 	// under mu, before the table insert; the group-commit fsync happens
 	// after mu is released.
 	wal *wal.Domain
-
-	// Pooled-commit staging, guarded by mu and reused across batches so the
-	// steady-state pooled path allocates nothing per commit. The slices are
-	// cleared after each batch: stale pointers must not pin recycled blocks.
-	evScratch  []*types.Event
-	tupScratch []*types.Tuple
 }
 
 // Cache is a working instance of the unified system.
@@ -212,7 +190,6 @@ func New(cfg Config) (*Cache, error) {
 		MaxSteps:       cfg.MaxAutomatonSteps,
 		InboxCapacity:  cfg.AutomatonQueue,
 		InboxPolicy:    cfg.AutomatonPolicy,
-		CompileMode:    cfg.CompileMode,
 	}
 	if cfg.DataDir != "" {
 		// Registration hooks write the meta log; they fire only after
@@ -496,9 +473,6 @@ func (c *Cache) CommitBatch(tableName string, rows [][]types.Value) error {
 		c.retryLatched(d)
 	}
 	schema := d.table.Schema()
-	if c.cfg.PoolEvents && !schema.Persistent {
-		return c.commitBatchPooled(d, schema, rows)
-	}
 	// One backing array per batch for tuples and events: the allocator is
 	// visited twice per batch instead of twice per tuple.
 	tupleArr := make([]types.Tuple, len(rows))
@@ -589,103 +563,6 @@ func (c *Cache) syncCommit(d *commitDomain, off wal.Off) error {
 		}
 	}
 	return nil
-}
-
-// commitBatchPooled is CommitBatch on the zero-allocation path: events,
-// tuples and value storage come from the reference-counted pool
-// (types.AcquireEvent) and the staging slices are per-domain scratch, so a
-// warm steady-state commit touches the allocator not at all. Reference flow:
-// each event starts with the commit reference; the ephemeral ring takes one
-// per stored tuple (released on eviction); the publisher takes one per
-// subscriber (released at dispatch completion); the commit reference is
-// dropped once the batch is published. Coercion runs under the domain mutex
-// — it writes into pooled storage owned by this commit — which lengthens the
-// critical section slightly versus the heap path's coerce-then-lock; the
-// allocation savings dominate. Only ephemeral tables take this path: a
-// persistent table retains rows indefinitely, which would pin pool blocks
-// forever.
-func (c *Cache) commitBatchPooled(d *commitDomain, schema *types.Schema, rows [][]types.Value) error {
-	ncols := schema.NumCols()
-	d.mu.Lock()
-	events := d.evScratch[:0]
-	tuples := d.tupScratch[:0]
-	release := func() {
-		for i := range events {
-			events[i].Release()
-			events[i] = nil
-		}
-		for i := range tuples {
-			tuples[i] = nil
-		}
-		d.evScratch = events[:0]
-		d.tupScratch = tuples[:0]
-	}
-	for i, vals := range rows {
-		ev := types.AcquireEvent(d.name, schema, ncols)
-		if err := schema.CoerceInto(ev.Tuple.Vals, vals); err != nil {
-			ev.Release()
-			release()
-			d.mu.Unlock()
-			if len(rows) == 1 {
-				return fmt.Errorf("%w: %w", uerr.ErrBadSchema, err)
-			}
-			return fmt.Errorf("batch row %d: %w: %w", i, uerr.ErrBadSchema, err)
-		}
-		events = append(events, ev)
-		tuples = append(tuples, ev.Tuple)
-	}
-	// The batch commits atomically at one instant, exactly as the heap path.
-	ts := c.clock()
-	for _, t := range tuples {
-		d.seq++
-		t.Seq = d.seq
-		t.TS = ts
-	}
-	// Write-ahead, exactly as the heap path; the encoder copies the pooled
-	// values out, so the record stays valid after the pool reclaims them.
-	var off wal.Off
-	if d.wal != nil {
-		payload, err := wal.EncodeBatch(tuples[0].Seq, ts, tuples)
-		if err == nil {
-			off, err = d.wal.Append(payload)
-		}
-		if err != nil {
-			d.seq -= uint64(len(tuples))
-			release()
-			d.mu.Unlock()
-			return fmt.Errorf("cache: wal append: %w", err)
-		}
-	}
-	// The ring takes one reference per stored tuple; it releases on evict.
-	for _, t := range tuples {
-		t.Retain()
-	}
-	if err := d.table.InsertBatch(tuples); err != nil {
-		// Unreachable today (coercion pre-validates everything InsertBatch
-		// checks), but the sequence-contiguity invariant and the reference
-		// balance must not depend on that. As on the heap path: a durable
-		// domain is poisoned rather than rolled back, since the appended
-		// record may already be on disk with the consumed sequence numbers.
-		if d.wal != nil {
-			d.wal.Poison(err)
-		} else {
-			d.seq -= uint64(len(tuples))
-		}
-		for _, t := range tuples {
-			t.Release()
-		}
-		release()
-		d.mu.Unlock()
-		return err
-	}
-	if len(events) == 1 {
-		d.topic.Publish(events[0])
-	} else {
-		d.topic.PublishBatch(events)
-	}
-	release()
-	d.mu.Unlock()
-	return c.syncCommit(d, off)
 }
 
 // CommitInsert coerces, stamps, stores and publishes one tuple: a one-row

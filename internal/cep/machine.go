@@ -81,8 +81,9 @@ func evLess(a, b *types.Event) bool {
 	return a.Tuple.Seq < b.Tuple.Seq
 }
 
-// Feed hands the machine one event. The event is cloned (the caller may
-// pool it); it is buffered until an AdvanceTo watermark releases it. An
+// Feed hands the machine one event. Committed events are immutable, so the
+// machine keeps the pointer; it is buffered until an AdvanceTo watermark
+// releases it. An
 // event at or before the current watermark is late: it is run through
 // the partial matches immediately, best-effort. Events on topics no
 // pattern step subscribes to are ignored — they can never bind.
@@ -90,12 +91,11 @@ func (m *Machine) Feed(ev *types.Event) {
 	if _, ok := m.pat.schemaOf[ev.Topic]; !ok {
 		return
 	}
-	cl := ev.Clone()
-	if cl.Tuple.TS <= m.wm {
-		m.process(cl)
+	if ev.Tuple.TS <= m.wm {
+		m.process(ev)
 		return
 	}
-	m.buf = append(m.buf, cl)
+	m.buf = append(m.buf, ev)
 }
 
 // AdvanceTo moves the watermark to t — a promise that no event with

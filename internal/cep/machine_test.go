@@ -277,7 +277,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	*got2 = append([][]types.Value{}, *got1...)
 
 	for _, m := range []*Machine{m1, m2} {
-		feed(m, e4.Clone())
+		feed(m, e4)
 		m.AdvanceTo(types.Timestamp(60 * sec))
 	}
 	if fmtMatches(*got1) == "" {

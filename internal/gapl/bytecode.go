@@ -6,32 +6,6 @@ import (
 	"unicache/internal/types"
 )
 
-// CompileMode selects how the VM executes a bound program's clauses.
-type CompileMode uint8
-
-const (
-	// ModeAuto (the default) lowers each clause to chained Go closures —
-	// one per instruction, operands pre-decoded at compile time — and
-	// threads execution through them, falling back to the bytecode switch
-	// interpreter for any clause the closure compiler declines. Outputs are
-	// bit-identical to ModeVM; only dispatch cost differs.
-	ModeAuto CompileMode = iota
-	// ModeVM forces the bytecode switch interpreter. It exists as the
-	// reference semantics for differential tests and as an escape hatch.
-	ModeVM
-)
-
-// String names the mode for flags and logs.
-func (m CompileMode) String() string {
-	switch m {
-	case ModeAuto:
-		return "auto"
-	case ModeVM:
-		return "vm"
-	}
-	return "unknown"
-}
-
 // Op is a stack-machine opcode.
 type Op uint8
 

@@ -271,6 +271,35 @@ release:
 	}
 }
 
+// TestDispatcherStopReleasesQueuedEvents: events still queued when the
+// dispatcher stops are drained out of the closed inbox by Stop, and the
+// processed counter absorbs them so Depth and Busy report idle.
+func TestDispatcherStopReleasesQueuedEvents(t *testing.T) {
+	in := NewInbox()
+	block := make(chan struct{})
+	var once sync.Once
+	started := make(chan struct{})
+	d := NewDispatcher(in, func(*types.Event) {
+		once.Do(func() { close(started) })
+		<-block
+	}, DispatcherConfig{})
+	for _, ev := range mkBatch(t, "T", 1, 8) {
+		in.Deliver(ev)
+	}
+	<-started // the first event is in the callback; the rest are queued
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		close(block)
+	}()
+	d.Stop()
+	if n := d.Depth(); n != 0 {
+		t.Errorf("stopped dispatcher depth = %d, want 0", n)
+	}
+	if d.Busy() {
+		t.Error("stopped dispatcher should not report busy")
+	}
+}
+
 func TestDispatcherOnFailRunsOnce(t *testing.T) {
 	in := NewInboxWith(QueueOpts{Capacity: 1, Policy: Fail})
 	var entered sync.Once

@@ -109,12 +109,10 @@ func (d *Dispatcher) run() {
 				// The abandoned run still counts as handled: Busy must
 				// not report a stopped dispatcher as forever in flight.
 				d.processed.Add(uint64(len(batch)))
-				releaseRun(batch)
 				return
 			}
 			d.bfn(batch)
 			d.processed.Add(uint64(len(batch)))
-			releaseRun(batch)
 			buf = batch
 			continue
 		}
@@ -124,26 +122,12 @@ func (d *Dispatcher) run() {
 				// must not report a stopped dispatcher as forever in
 				// flight.
 				d.processed.Add(uint64(len(batch) - i))
-				releaseRun(batch[i:])
 				return
 			}
 			d.fn(ev)
-			ev.Release()
 			d.processed.Add(1)
 		}
 		buf = batch
-	}
-}
-
-// releaseRun drops the dispatcher's reference on every event of a drained
-// run — after the consumer callback returned, or for runs abandoned by Stop.
-// No-op per event unless the event is pool-managed. This is the "dispatch
-// completion" release point of the pooled event lifecycle: consumer
-// callbacks must not retain a pooled event past their return (Clone or
-// Retain it to keep it).
-func releaseRun(batch []*types.Event) {
-	for _, ev := range batch {
-		ev.Release()
 	}
 }
 
@@ -177,17 +161,10 @@ func (d *Dispatcher) Stop() {
 	d.stop.Store(true)
 	d.in.Close()
 	<-d.done
-	// The drain goroutine is gone; anything still queued in the closed inbox
-	// would otherwise hold its pooled reference forever. Drain and release
-	// (no new elements can arrive: the inbox rejects pushes once closed).
-	for {
-		batch, ok := d.in.PopBatch(0, nil)
-		if !ok {
-			return
-		}
-		// Count the discarded leftovers as handled so Busy stays accurate
-		// for anything still polling a stopped dispatcher.
+	// Discard what the closed inbox still holds (it rejects new pushes),
+	// counting it as handled so Depth and Busy read quiescent for anything
+	// still polling a stopped dispatcher.
+	if batch, ok := d.in.PopBatch(0, nil); ok {
 		d.processed.Add(uint64(len(batch)))
-		releaseRun(batch)
 	}
 }

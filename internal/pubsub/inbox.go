@@ -27,11 +27,6 @@ func NewInbox() *Inbox { return NewInboxWith(QueueOpts{}) }
 func NewInboxWith(opts QueueOpts) *Inbox {
 	in := &Inbox{}
 	in.Queue.init(opts)
-	// An inbox owns the per-subscriber reference the publisher takes on each
-	// pooled event (Topic.Publish retains before Deliver): events the inbox
-	// sheds, rejects, or receives after close release that reference here;
-	// events popped transfer it to the consumer. No-op for unpooled events.
-	in.Queue.SetOnDiscard(func(ev *types.Event) { ev.Release() })
 	return in
 }
 

@@ -19,11 +19,8 @@ import (
 // concurrent control operations; hand such work to the consumer goroutine
 // (a Dispatcher) instead. DeliverBatch receives a run of events in commit
 // order and must not retain or mutate the slice itself (the same slice is
-// handed to every subscriber). Retaining the *Event pointers is fine for
-// unpooled events; for pool-managed events (Event.Pooled) the publisher
-// takes one reference per subscriber before delivery, and a subscriber that
-// keeps an event past the consumer's dispatch completion must Retain it
-// (see docs/ARCHITECTURE.md, "Event ownership and pooling").
+// handed to every subscriber). Retaining the *Event pointers is fine:
+// committed events are immutable heap values.
 type Subscriber interface {
 	Deliver(ev *types.Event)
 	DeliverBatch(evs []*types.Event)
@@ -195,9 +192,6 @@ func (t *Topic) Publish(ev *types.Event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, sub := range t.subs {
-		// One reference per subscriber: the inbox (or its close-time
-		// discard) owns it from here. No-op for unpooled events.
-		ev.Retain()
 		sub.Deliver(ev)
 	}
 }
@@ -211,12 +205,6 @@ func (t *Topic) PublishBatch(evs []*types.Event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, sub := range t.subs {
-		// One reference per subscriber per event: the inbox (or its
-		// close-time discard) owns them from here. No-op for unpooled
-		// events.
-		for _, ev := range evs {
-			ev.Retain()
-		}
 		sub.DeliverBatch(evs)
 	}
 }

@@ -67,9 +67,6 @@ type Queue[T any] struct {
 	closed   bool
 	failed   bool
 	dropped  atomic.Uint64
-	// onDiscard, when set (SetOnDiscard), receives every element the queue
-	// took in but will never hand to the consumer — see SetOnDiscard.
-	onDiscard func(T)
 	// consumed counts elements handed to the consumer, incremented under
 	// mu in the same critical section that removes them — so an observer
 	// seeing Len() == 0 and Consumed() unchanged knows nothing is in
@@ -92,25 +89,6 @@ func (q *Queue[T]) init(opts QueueOpts) {
 	q.notFull = sync.NewCond(&q.mu)
 }
 
-// SetOnDiscard installs a hook invoked once for every element the queue
-// takes in but never hands to the consumer: DropOldest evictions, Fail
-// rejections, pushes into a closed queue, and the unenqueued remainder of a
-// partially accepted Block batch. Installing it gives the queue ownership of
-// everything pushed — a pooled element's reference is then always either
-// transferred to the consumer by a pop or released by the hook, never
-// silently dropped. The hook runs under the queue lock and must not call
-// back into the queue. Install before the queue is shared; the field is not
-// synchronised against concurrent pushes.
-func (q *Queue[T]) SetOnDiscard(fn func(T)) { q.onDiscard = fn }
-
-// discardLocked routes one never-delivered element to the hook. Callers
-// hold q.mu.
-func (q *Queue[T]) discardLocked(v T) {
-	if q.onDiscard != nil {
-		q.onDiscard(v)
-	}
-}
-
 // sizeLocked returns the number of queued elements. Callers hold q.mu.
 func (q *Queue[T]) sizeLocked() int { return len(q.q) - q.head }
 
@@ -118,7 +96,6 @@ func (q *Queue[T]) sizeLocked() int { return len(q.q) - q.head }
 func (q *Queue[T]) dropLocked(n int) {
 	var zero T
 	for i := 0; i < n; i++ {
-		q.discardLocked(q.q[q.head])
 		q.q[q.head] = zero
 		q.head++
 	}
@@ -151,7 +128,6 @@ func (q *Queue[T]) failLocked() {
 func (q *Queue[T]) Push(v T) bool {
 	q.mu.Lock()
 	if q.closed {
-		q.discardLocked(v)
 		q.mu.Unlock()
 		return false
 	}
@@ -162,7 +138,6 @@ func (q *Queue[T]) Push(v T) bool {
 				q.notFull.Wait()
 			}
 			if q.closed {
-				q.discardLocked(v)
 				q.mu.Unlock()
 				return false
 			}
@@ -170,7 +145,6 @@ func (q *Queue[T]) Push(v T) bool {
 			q.dropLocked(q.sizeLocked() - q.capacity + 1)
 		case Fail:
 			q.dropped.Add(1)
-			q.discardLocked(v)
 			q.failLocked()
 			q.mu.Unlock()
 			return false
@@ -196,9 +170,6 @@ func (q *Queue[T]) PushBatch(vs []T) bool {
 	}
 	q.mu.Lock()
 	if q.closed {
-		for _, v := range vs {
-			q.discardLocked(v)
-		}
 		q.mu.Unlock()
 		return false
 	}
@@ -213,10 +184,7 @@ func (q *Queue[T]) PushBatch(vs []T) bool {
 				if q.closed {
 					// Elements of earlier chunks are already enqueued and
 					// will reach the consumer (or its close-time drain); the
-					// unenqueued remainder is discarded here.
-					for _, v := range vs {
-						q.discardLocked(v)
-					}
+					// unenqueued remainder is rejected.
 					q.mu.Unlock()
 					return false
 				}
@@ -238,17 +206,11 @@ func (q *Queue[T]) PushBatch(vs []T) bool {
 				// pinned by it.
 				q.dropped.Add(uint64(q.sizeLocked() + len(vs) - q.capacity))
 				var zero T
-				for i := q.head; i < len(q.q); i++ {
-					q.discardLocked(q.q[i])
-				}
 				for i := range q.q {
 					q.q[i] = zero
 				}
 				q.q = q.q[:0]
 				q.head = 0
-				for _, v := range vs[:len(vs)-q.capacity] {
-					q.discardLocked(v)
-				}
 				vs = vs[len(vs)-q.capacity:]
 			} else if over := q.sizeLocked() + len(vs) - q.capacity; over > 0 {
 				q.dropLocked(over)
@@ -256,9 +218,6 @@ func (q *Queue[T]) PushBatch(vs []T) bool {
 		case Fail:
 			if q.sizeLocked()+len(vs) > q.capacity {
 				q.dropped.Add(uint64(len(vs)))
-				for _, v := range vs {
-					q.discardLocked(v)
-				}
 				q.failLocked()
 				q.mu.Unlock()
 				return false

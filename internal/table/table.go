@@ -72,10 +72,6 @@ func (e *Ephemeral) Capacity() int { return len(e.buf) }
 
 // Insert implements Table. It never replaces by key; replaced is always
 // false. The oldest tuple is evicted when the ring is full.
-//
-// Pooled tuples: storing transfers one reference from the caller to the
-// ring; eviction releases it. The cache commit path retains each pooled
-// tuple before inserting. No-op for unpooled tuples.
 func (e *Ephemeral) Insert(t *types.Tuple) (bool, error) {
 	if t == nil {
 		return false, fmt.Errorf("table %s: nil tuple", e.schema.Name)
@@ -83,8 +79,6 @@ func (e *Ephemeral) Insert(t *types.Tuple) (bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.n == len(e.buf) {
-		// Overwrite oldest, dropping the ring's reference on it.
-		e.buf[e.head].Release()
 		e.buf[e.head] = t
 		e.head = (e.head + 1) % len(e.buf)
 		return false, nil
@@ -112,25 +106,11 @@ func (e *Ephemeral) InsertBatch(ts []*types.Tuple) error {
 	capacity := len(e.buf)
 	if len(ts) >= capacity {
 		// Everything currently stored is evicted, and the run's own oldest
-		// tuples never make it into the ring: release the ring's reference
-		// on all of them (no-op for unpooled tuples).
-		for i := 0; i < e.n; i++ {
-			e.buf[(e.head+i)%capacity].Release()
-		}
-		for _, t := range ts[:len(ts)-capacity] {
-			t.Release()
-		}
+		// tuples never make it into the ring.
 		copy(e.buf, ts[len(ts)-capacity:])
 		e.head = 0
 		e.n = capacity
 		return nil
-	}
-	// Release the oldest tuples the incoming run will overwrite before the
-	// segment copies land on their slots.
-	if over := e.n + len(ts) - capacity; over > 0 {
-		for i := 0; i < over; i++ {
-			e.buf[(e.head+i)%capacity].Release()
-		}
 	}
 	// Copy in at most two contiguous segments, then advance head/n once.
 	tail := (e.head + e.n) % capacity
@@ -154,24 +134,15 @@ func (e *Ephemeral) Len() int {
 }
 
 // Scan implements Table. The snapshot is taken under the read lock and
-// iterated outside it; each snapshotted tuple is retained for the duration
-// (eviction needs the write lock, so the ring's reference is live at retain
-// time) and released when the scan finishes — a concurrent insert can evict
-// a snapshot row but never recycle its pooled storage mid-scan.
+// iterated outside it: a concurrent insert can evict a snapshot row from the
+// ring, but committed tuples are immutable, so the scan still sees it whole.
 func (e *Ephemeral) Scan(fn func(*types.Tuple) bool) {
 	e.mu.RLock()
 	snapshot := make([]*types.Tuple, 0, e.n)
 	for i := 0; i < e.n; i++ {
-		t := e.buf[(e.head+i)%len(e.buf)]
-		t.Retain()
-		snapshot = append(snapshot, t)
+		snapshot = append(snapshot, e.buf[(e.head+i)%len(e.buf)])
 	}
 	e.mu.RUnlock()
-	defer func() {
-		for _, t := range snapshot {
-			t.Release()
-		}
-	}()
 	for _, t := range snapshot {
 		if !fn(t) {
 			return

@@ -137,28 +137,6 @@ func (s *Schema) Coerce(vals []Value) ([]Value, error) {
 	return out, nil
 }
 
-// CoerceInto is Coerce writing into caller-provided storage: dst must have
-// exactly len(s.Cols) elements and is overwritten in place, so the pooled
-// commit path can coerce into recycled value slices without allocating.
-func (s *Schema) CoerceInto(dst, vals []Value) error {
-	if len(vals) != len(s.Cols) {
-		return fmt.Errorf("table %s expects %d values, got %d",
-			s.Name, len(s.Cols), len(vals))
-	}
-	for i, v := range vals {
-		want := s.Cols[i].Type.Kind()
-		if v.Kind() != want {
-			conv, err := convertTo(v, want)
-			if err != nil {
-				return fmt.Errorf("table %s column %s: %w", s.Name, s.Cols[i].Name, err)
-			}
-			v = conv
-		}
-		dst[i] = v
-	}
-	return nil
-}
-
 func convertTo(v Value, want Kind) (Value, error) {
 	switch want {
 	case KindInt:
@@ -217,10 +195,6 @@ type Tuple struct {
 	Seq  uint64
 	TS   Timestamp
 	Vals []Value
-
-	// block is non-nil when the tuple's storage is pool-managed (see
-	// event_pool.go); holders then bracket retention with Retain/Release.
-	block *eventBlock
 }
 
 // Clone returns a copy with its own value slice.
@@ -230,15 +204,13 @@ func (t *Tuple) Clone() *Tuple {
 
 // Event is a tuple as delivered to a subscriber: the tuple plus its topic
 // and schema, so attribute access by name is possible. It is the value bound
-// to a GAPL subscription variable.
+// to a GAPL subscription variable. A committed event is an ordinary heap
+// value that nothing mutates after commit: every subscriber receives the
+// same pointer and may keep it.
 type Event struct {
 	Topic  string
 	Schema *Schema
 	Tuple  *Tuple
-
-	// block is non-nil when the event's storage is pool-managed (see
-	// event_pool.go); holders then bracket retention with Retain/Release.
-	block *eventBlock
 }
 
 // Field returns the named attribute of the event. The pseudo-attribute

@@ -213,16 +213,10 @@ func (m *VM) callBuiltin(id gapl.BuiltinID, args []types.Value) (types.Value, er
 		var vals []types.Value
 		if len(args) == 2 {
 			// Fast paths: republishing a whole event or sequence forwards
-			// its attribute values without re-materialising. A pooled
-			// event's storage is recycled after dispatch completes, and the
-			// commit path may retain the slice it is handed (persistent
-			// tables store it as the row), so pooled values are copied out.
+			// its attribute values without re-materialising. Committed
+			// values are never mutated, so the new row may share them.
 			if ev := args[1].Event(); ev != nil {
-				if ev.Pooled() {
-					vals = append([]types.Value(nil), ev.Tuple.Vals...)
-				} else {
-					vals = ev.Tuple.Vals
-				}
+				vals = ev.Tuple.Vals
 			} else if seq := args[1].Seq(); seq != nil {
 				vals = seq.Values()
 			}

@@ -7,7 +7,7 @@ import (
 	"unicache/internal/types"
 )
 
-// Threaded dispatch: under gapl.ModeAuto each clause is lowered once, at
+// Threaded dispatch: each clause is lowered once, at
 // first execution, to a chain of Go closures — one per instruction, with
 // operands (constants, slot specs, jump targets, builtin ids) decoded at
 // compile time instead of on every activation. The driver loop then calls

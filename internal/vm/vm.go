@@ -48,10 +48,6 @@ type VM struct {
 	// 0 means unlimited. It protects tests against accidental infinite
 	// loops in behaviour clauses.
 	MaxSteps int
-	// Mode selects the execution strategy: gapl.ModeAuto (default)
-	// threads each clause through compiled closures, gapl.ModeVM forces
-	// the switch interpreter. Set before the first RunInit/Deliver.
-	Mode gapl.CompileMode
 
 	slots     []types.Value
 	stack     []types.Value
@@ -69,7 +65,7 @@ type VM struct {
 	batchVals []types.Value
 	batchTs   []types.Timestamp
 
-	// Compiled closure chains for the two clauses (ModeAuto), built
+	// Compiled closure chains for the two clauses, built
 	// lazily on first execution; nil with the flag set means the clause
 	// declined compilation and stays on the interpreter.
 	initSteps    []step
@@ -146,14 +142,8 @@ func (m *VM) Deliver(ev *types.Event) error {
 	if !ok {
 		return fmt.Errorf("vm: not subscribed to topic %q", ev.Topic)
 	}
-	// The subscription slot holds the event across activations (GAPL code
-	// may read f.attr on a later activation of another subscription): take
-	// the VM's own reference on the new event and drop the one on the
-	// event it displaces. No-ops for unpooled events.
-	ev.Retain()
-	if old := m.slots[slot].Event(); old != nil {
-		old.Release()
-	}
+	// The subscription slot holds the event across activations: GAPL code
+	// may read f.attr on a later activation of another subscription.
 	m.slots[slot] = types.EventV(ev)
 	m.curTopic = ev.Topic
 	m.one[0] = ev
@@ -301,10 +291,10 @@ func (m *VM) runtimeErr(ins gapl.Instr, err error) error {
 	return fmt.Errorf("line %d: %w", ins.Line, err)
 }
 
-// exec routes a clause to the compiled closure chain (ModeAuto) or the
-// switch interpreter (ModeVM, or a clause the closure compiler declined).
+// exec routes a clause to its compiled closure chain, or to the switch
+// interpreter when the closure compiler declined it.
 func (m *VM) exec(code []gapl.Instr) error {
-	if m.Mode != gapl.ModeVM && len(code) > 0 {
+	if len(code) > 0 {
 		if steps := m.stepsFor(code); steps != nil {
 			return m.execSteps(steps)
 		}
