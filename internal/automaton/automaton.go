@@ -685,7 +685,9 @@ func (h *host) AssocLookup(tbl, key string) (types.Value, bool, error) {
 	if !ok {
 		return types.Nil, false, nil
 	}
-	return types.SeqV(types.NewSequence(row.Vals...)), true, nil
+	// Committed rows are immutable: the sequence shares the row's values
+	// and copies them before the program's first write.
+	return types.SeqV(types.SharedSequence(row.Vals)), true, nil
 }
 
 // AssocInsert builds a full row from v and commits it through the cache so
@@ -699,7 +701,7 @@ func (h *host) AssocInsert(tbl, key string, v types.Value) error {
 	schema := pt.Schema()
 	var row []types.Value
 	if seq := v.Seq(); seq != nil {
-		row = append([]types.Value(nil), seq.Values()...)
+		row = seq.Share()
 	} else if schema.NumCols() == 2 && v.Kind().Scalar() {
 		if schema.Key == 0 {
 			row = []types.Value{types.Str(key), v}

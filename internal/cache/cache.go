@@ -473,10 +473,7 @@ func (c *Cache) CommitBatch(tableName string, rows [][]types.Value) error {
 		c.retryLatched(d)
 	}
 	schema := d.table.Schema()
-	// One backing array per batch for tuples and events: the allocator is
-	// visited twice per batch instead of twice per tuple.
-	tupleArr := make([]types.Tuple, len(rows))
-	tuples := make([]*types.Tuple, len(rows))
+	blocks, tuples, events := allocCommit(len(rows))
 	for i, vals := range rows {
 		coerced, err := schema.Coerce(vals)
 		if err != nil {
@@ -485,11 +482,9 @@ func (c *Cache) CommitBatch(tableName string, rows [][]types.Value) error {
 			}
 			return fmt.Errorf("batch row %d: %w: %w", i, uerr.ErrBadSchema, err)
 		}
-		tupleArr[i].Vals = coerced
-		tuples[i] = &tupleArr[i]
+		blocks[i].tuple.Vals = coerced
+		tuples[i] = &blocks[i].tuple
 	}
-	eventArr := make([]types.Event, len(tuples))
-	events := make([]*types.Event, len(tuples))
 	d.mu.Lock()
 	// The batch commits atomically at one instant: all its tuples share
 	// one clock reading, while the topic's sequence numbers stay unique
@@ -499,8 +494,8 @@ func (c *Cache) CommitBatch(tableName string, rows [][]types.Value) error {
 		d.seq++
 		t.Seq = d.seq
 		t.TS = ts
-		eventArr[i] = types.Event{Topic: tableName, Schema: schema, Tuple: t}
-		events[i] = &eventArr[i]
+		blocks[i].event = types.Event{Topic: tableName, Schema: schema, Tuple: t}
+		events[i] = &blocks[i].event
 	}
 	// Write-ahead: the batch record is appended (under the domain mutex,
 	// so log order equals commit order) before the table absorbs it. A
@@ -541,6 +536,32 @@ func (c *Cache) CommitBatch(tableName string, rows [][]types.Value) error {
 	}
 	d.mu.Unlock()
 	return c.syncCommit(d, off)
+}
+
+// commitBlock holds one committed row's tuple and its event together, so
+// a row costs no allocation of its own. A table or subscriber that keeps
+// either keeps both alive.
+type commitBlock struct {
+	tuple types.Tuple
+	event types.Event
+}
+
+// oneRowCommit is a one-row batch in a single allocation: the block and
+// the one-element pointer slices over it.
+type oneRowCommit struct {
+	block [1]commitBlock
+	tuple [1]*types.Tuple
+	event [1]*types.Event
+}
+
+// allocCommit returns the blocks of an n-row batch and the pointer slices
+// to fill: one allocation for a one-row batch, three for any other.
+func allocCommit(n int) ([]commitBlock, []*types.Tuple, []*types.Event) {
+	if n == 1 {
+		c := new(oneRowCommit)
+		return c.block[:], c.tuple[:], c.event[:]
+	}
+	return make([]commitBlock, n), make([]*types.Tuple, n), make([]*types.Event, n)
 }
 
 // syncCommit finishes a durable commit after the domain mutex is

@@ -10,13 +10,47 @@ import (
 // It is the unit in which rows travel: lookups on associations return
 // sequences, publish() and send() accept them, and events expose their
 // attributes as one.
+//
+// A sequence may share its items with a committed row, which nothing may
+// rewrite: SharedSequence wraps one without copying, and Share hands a
+// sequence's items to a commit. A shared sequence copies its items once,
+// in place, before its first Set or Append, so every holder of the
+// *Sequence sees the change and the row does not.
 type Sequence struct {
-	items []Value
+	items  []Value
+	shared bool
 }
 
 // NewSequence builds a sequence from the given values.
 func NewSequence(vals ...Value) *Sequence {
 	return &Sequence{items: append([]Value(nil), vals...)}
+}
+
+// NewSequenceCap returns an empty sequence with room for n values.
+func NewSequenceCap(n int) *Sequence {
+	return &Sequence{items: make([]Value, 0, n)}
+}
+
+// SharedSequence wraps vals without copying them; the sequence copies
+// before its first write, so vals is never modified.
+func SharedSequence(vals []Value) *Sequence {
+	return &Sequence{items: vals[:len(vals):len(vals)], shared: true}
+}
+
+// Share marks the sequence's items shared and returns them, for a caller
+// that keeps them (a commit). Later writes to the sequence copy first.
+func (s *Sequence) Share() []Value {
+	s.shared = true
+	return s.items[:len(s.items):len(s.items)]
+}
+
+// own gives a shared sequence its own copy of the items, with room for
+// extra more values.
+func (s *Sequence) own(extra int) {
+	if s.shared {
+		s.items = append(make([]Value, 0, len(s.items)+extra), s.items...)
+		s.shared = false
+	}
 }
 
 // Len returns the number of elements.
@@ -35,12 +69,16 @@ func (s *Sequence) Set(i int, v Value) bool {
 	if i < 0 || i >= len(s.items) {
 		return false
 	}
+	s.own(0)
 	s.items[i] = v
 	return true
 }
 
 // Append adds a value to the end of the sequence.
-func (s *Sequence) Append(v Value) { s.items = append(s.items, v) }
+func (s *Sequence) Append(v Value) {
+	s.own(1)
+	s.items = append(s.items, v)
+}
 
 // Values returns the backing slice (callers must not mutate it).
 func (s *Sequence) Values() []Value { return s.items }

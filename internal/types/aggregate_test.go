@@ -47,6 +47,90 @@ func TestSequenceConstructorCopiesInput(t *testing.T) {
 	}
 }
 
+func intsOf(vals []Value) []int64 {
+	out := make([]int64, len(vals))
+	for i, v := range vals {
+		out[i], _ = v.AsInt()
+	}
+	return out
+}
+
+func TestSharedSequenceCopiesBeforeWrite(t *testing.T) {
+	row := []Value{Int(1), Int(2)}
+	s := SharedSequence(row)
+	if !s.Set(0, Int(10)) {
+		t.Fatal("Set in range reported false")
+	}
+	s.Append(Int(3))
+	if got := intsOf(row); got[0] != 1 || got[1] != 2 {
+		t.Errorf("source row = %v after writes to its sequence, want [1 2]", got)
+	}
+	if got := intsOf(s.Values()); len(got) != 3 || got[0] != 10 || got[1] != 2 || got[2] != 3 {
+		t.Errorf("sequence = %v, want [10 2 3]", got)
+	}
+
+	// Append alone copies too: the source may have spare capacity that
+	// another sequence over it would see.
+	spare := make([]Value, 2, 4)
+	spare[0], spare[1] = Int(1), Int(2)
+	a, b := SharedSequence(spare), SharedSequence(spare)
+	a.Append(Int(3))
+	b.Append(Int(4))
+	if got := a.At(2); got != Int(3) {
+		t.Errorf("a[2] = %v after b.Append, want 3", got)
+	}
+	if got := intsOf(spare[:4]); got[2] != 0 || got[3] != 0 {
+		t.Errorf("source capacity written: %v", got)
+	}
+}
+
+func TestShareCopiesBeforeWrite(t *testing.T) {
+	s := NewSequence(Int(1), Int(2))
+	committed := s.Share()
+	s.Set(1, Int(20))
+	s.Append(Int(3))
+	if got := intsOf(committed); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Errorf("shared items = %v after writes, want [1 2]", got)
+	}
+	if got := intsOf(s.Values()); len(got) != 3 || got[1] != 20 || got[2] != 3 {
+		t.Errorf("sequence = %v, want [1 20 3]", got)
+	}
+	// After the copy the sequence owns its items again: Share hands out
+	// the new items, and the first Share's items stay untouched.
+	again := s.Share()
+	s.Set(0, Int(100))
+	if v, _ := again[0].AsInt(); v != 1 {
+		t.Errorf("second shared items[0] = %d, want 1", v)
+	}
+	if v, _ := committed[0].AsInt(); v != 1 {
+		t.Errorf("first shared items[0] = %d, want 1", v)
+	}
+}
+
+// A sequence held in a map keeps reference semantics through copy-on-write:
+// the copy happens inside the same *Sequence, so a write through one
+// lookup shows on the next (examples/linearroad relies on it).
+func TestMapHeldSharedSequenceKeepsWrites(t *testing.T) {
+	row := []Value{Int(0), Int(0)}
+	m := NewMap(KindSequence)
+	if err := m.Insert("seg", SeqV(SharedSequence(row))); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 2; i++ {
+		v, _ := m.Lookup("seg")
+		s := v.Seq()
+		n, _ := s.At(0).AsInt()
+		s.Set(0, Int(n+1))
+	}
+	v, _ := m.Lookup("seg")
+	if n, _ := v.Seq().At(0).AsInt(); n != 2 {
+		t.Errorf("map-held sequence[0] = %d after two writes through lookups, want 2", n)
+	}
+	if n, _ := row[0].AsInt(); n != 0 {
+		t.Errorf("source row[0] = %d, want 0", n)
+	}
+}
+
 func TestMapInsertLookupRemove(t *testing.T) {
 	m := NewMap(KindInt)
 	if err := m.Insert("a", Int(1)); err != nil {

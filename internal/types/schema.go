@@ -239,9 +239,10 @@ func (e *Event) FieldAt(i int) Value {
 }
 
 // AsSequence exposes the event's attributes as a sequence (used when an
-// event value is passed to send(), publish() or Sequence()).
+// event value is passed to send(), publish() or Sequence()). The sequence
+// shares the tuple's values, which it copies before any write.
 func (e *Event) AsSequence() *Sequence {
-	return NewSequence(e.Tuple.Vals...)
+	return SharedSequence(e.Tuple.Vals)
 }
 
 // String renders the event as Topic(v1, v2, ...).

@@ -24,7 +24,7 @@ func materialize(v types.Value) types.Value {
 func (m *VM) callBuiltin(id gapl.BuiltinID, args []types.Value) (types.Value, error) {
 	switch id {
 	case gapl.BSequence:
-		s := types.NewSequence()
+		s := types.NewSequenceCap(len(args))
 		for _, a := range args {
 			s.Append(materialize(a))
 		}
@@ -214,11 +214,12 @@ func (m *VM) callBuiltin(id gapl.BuiltinID, args []types.Value) (types.Value, er
 		if len(args) == 2 {
 			// Fast paths: republishing a whole event or sequence forwards
 			// its attribute values without re-materialising. Committed
-			// values are never mutated, so the new row may share them.
+			// values are never mutated, so the new row may share them; a
+			// sequence's items are shared, so its next write copies them.
 			if ev := args[1].Event(); ev != nil {
 				vals = ev.Tuple.Vals
 			} else if seq := args[1].Seq(); seq != nil {
-				vals = seq.Values()
+				vals = seq.Share()
 			}
 		}
 		if vals == nil {
