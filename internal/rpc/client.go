@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -223,7 +224,9 @@ func (c *Client) readLoop() {
 		delete(c.pending, msgID)
 		c.mu.Unlock()
 		if ok {
-			ch <- payload
+			// payload is the transport's reassembly buffer, reused by the
+			// next read: the waiting caller gets its own copy.
+			ch <- bytes.Clone(payload)
 		}
 	}
 }

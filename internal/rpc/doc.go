@@ -5,7 +5,12 @@
 //
 // The wire protocol fragments and reassembles every message at 1024-byte
 // boundaries, as the paper's RPC system does (§6.3 notes the linear
-// throughput drop past 1 KiB that Fig. 13 shows).
+// throughput drop past 1 KiB that Fig. 13 shows). Every fragment keeps its
+// own header on the wire, but a message is written with one system call:
+// the writer lays all of its fragments into one buffer, and the reader
+// pulls fragments through a buffered reader into one reused reassembly
+// buffer. Fragments of two messages never interleave, so a fragment for a
+// different message while one is being reassembled ends the connection.
 //
 // # Concurrency and ordering contract
 //

@@ -1,10 +1,12 @@
 package rpc
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 )
 
@@ -137,23 +139,44 @@ const (
 
 // transport frames messages over a net.Conn with fragmentation at FragSize
 // and serialised writes (requests and pushes interleave safely).
+//
+// Every fragment of a message keeps its own header on the wire, so the
+// paper's 1 KiB framing is what a peer sees; what is batched is the system
+// call. writeMessage lays all of a message's fragments into one buffer and
+// makes a single conn.Write, and readMessage pulls fragments through a
+// bufio.Reader into one reused reassembly buffer.
 type transport struct {
-	conn    net.Conn
-	writeMu sync.Mutex
+	conn net.Conn
 
-	readBuf [fragHeaderSize]byte
-	partial map[uint32][]byte
+	writeMu sync.Mutex
+	wbuf    []byte // fragments of the message being written; guarded by writeMu
+
+	r   *bufio.Reader
+	hdr [fragHeaderSize]byte
+	msg []byte // reassembly buffer; valid until the next readMessage
 }
+
+// readBufSize is the size of each connection's bufio.Reader: one read
+// syscall picks up many fragments, or a request with its pushes.
+const readBufSize = 32 << 10
+
+// maxKeptBufSize bounds the write and reassembly buffers a transport keeps
+// between messages, so one large message does not pin its size in memory
+// for the life of the connection.
+const maxKeptBufSize = 64 << 10
 
 func newTransport(conn net.Conn) *transport {
-	return &transport{conn: conn, partial: make(map[uint32][]byte)}
+	return &transport{conn: conn, r: bufio.NewReaderSize(conn, readBufSize)}
 }
 
-// writeMessage fragments and writes one message.
+// writeMessage fragments one message and writes it with one conn.Write.
+// writeMu is held for the whole message, so the fragments of two messages
+// never interleave on the wire.
 func (t *transport) writeMessage(msgID uint32, payload []byte) error {
 	t.writeMu.Lock()
 	defer t.writeMu.Unlock()
-	var hdr [fragHeaderSize]byte
+	nfrag := len(payload)/FragSize + 1
+	buf := slices.Grow(t.wbuf[:0], len(payload)+nfrag*fragHeaderSize)
 	for {
 		n := len(payload)
 		flags := byte(0)
@@ -162,50 +185,62 @@ func (t *transport) writeMessage(msgID uint32, payload []byte) error {
 		} else {
 			n = FragSize
 		}
-		binary.BigEndian.PutUint16(hdr[0:2], uint16(n))
-		binary.BigEndian.PutUint32(hdr[2:6], msgID)
-		hdr[6] = flags
-		// Header and fragment are written separately: each fragment is an
-		// independent unit, mirroring the per-fragment cost the paper's
-		// RPC system pays.
-		if _, err := t.conn.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := t.conn.Write(payload[:n]); err != nil {
-			return err
-		}
+		buf = binary.BigEndian.AppendUint16(buf, uint16(n))
+		buf = binary.BigEndian.AppendUint32(buf, msgID)
+		buf = append(buf, flags)
+		buf = append(buf, payload[:n]...)
 		if flags&flagLast != 0 {
-			return nil
+			break
 		}
 		payload = payload[n:]
 	}
+	_, err := t.conn.Write(buf)
+	if cap(buf) > maxKeptBufSize {
+		buf = nil
+	}
+	t.wbuf = buf
+	return err
 }
 
-// readMessage reassembles and returns the next complete message.
+// readMessage reassembles and returns the next complete message. The
+// returned payload aliases the transport's reassembly buffer: it is valid
+// only until the next readMessage, so a caller that hands it to another
+// goroutine must copy it first. Because writers never interleave the
+// fragments of two messages, a fragment for another message id while one
+// is open is a protocol error, which also means a peer can hold at most
+// one partial message (of at most maxMessageSize bytes) in memory.
 func (t *transport) readMessage() (uint32, []byte, error) {
+	if cap(t.msg) > maxKeptBufSize {
+		t.msg = nil
+	}
+	t.msg = t.msg[:0]
+	var openID uint32
+	open := false
 	for {
-		if _, err := io.ReadFull(t.conn, t.readBuf[:]); err != nil {
+		if _, err := io.ReadFull(t.r, t.hdr[:]); err != nil {
 			return 0, nil, err
 		}
-		n := binary.BigEndian.Uint16(t.readBuf[0:2])
-		msgID := binary.BigEndian.Uint32(t.readBuf[2:6])
-		flags := t.readBuf[6]
+		n := int(binary.BigEndian.Uint16(t.hdr[0:2]))
+		msgID := binary.BigEndian.Uint32(t.hdr[2:6])
+		flags := t.hdr[6]
 		if n > FragSize {
 			return 0, nil, fmt.Errorf("rpc: oversized fragment (%d bytes)", n)
 		}
-		frag := make([]byte, n)
-		if _, err := io.ReadFull(t.conn, frag); err != nil {
-			return 0, nil, err
+		if open && msgID != openID {
+			return 0, nil, fmt.Errorf("rpc: fragment of message %d inside message %d", msgID, openID)
 		}
-		buf := append(t.partial[msgID], frag...)
-		if len(buf) > maxMessageSize {
+		if len(t.msg)+n > maxMessageSize {
 			return 0, nil, fmt.Errorf("rpc: message exceeds %d bytes", maxMessageSize)
 		}
-		if flags&flagLast != 0 {
-			delete(t.partial, msgID)
-			return msgID, buf, nil
+		off := len(t.msg)
+		t.msg = slices.Grow(t.msg, n)[:off+n]
+		if _, err := io.ReadFull(t.r, t.msg[off:]); err != nil {
+			return 0, nil, err
 		}
-		t.partial[msgID] = buf
+		if flags&flagLast != 0 {
+			return msgID, t.msg, nil
+		}
+		open, openID = true, msgID
 	}
 }
 
